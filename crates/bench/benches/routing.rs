@@ -52,7 +52,7 @@ fn bench_looping(c: &mut Criterion) {
 
 /// Pure `connect`/`disconnect` cost on the big ν = 2 network: one
 /// router reused, alternating terminal pairs — isolates the budgeted
-/// bidirectional path search (plus path claim/release) from the
+/// first-hit route search (plus path claim/release) from the
 /// simulation engine around it.
 fn bench_connect_only(c: &mut Criterion) {
     let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));

@@ -80,7 +80,7 @@ fn bench_sim_churn_faulty(c: &mut Criterion) {
 /// Heavy-traffic configuration: ~100 000 arrivals under a hotspot
 /// pattern on the ν = 2 fault-tolerant network 𝒩 (19 424 switches) —
 /// the regime where per-event O(V + E) recomputation used to dominate
-/// and the incremental fault path plus the budgeted bidirectional
+/// and the incremental fault path plus the budgeted first-hit route
 /// search pay off.
 fn cfg_100k_calls() -> SimConfig {
     SimConfig {

@@ -467,9 +467,12 @@ pub enum FlowKernel {
 /// Arcs-per-node density at which `Auto` switches to push-relabel.
 /// Below this, Dinic's O(E·√V) unit-capacity bound is unbeatable; at or
 /// above it the level-graph rebuild cost (E per phase) overtakes
-/// push-relabel's locality. Calibrated on the committed fabric families
-/// by the `repair_nu2` bench pair: degree-2 Beneš/butterfly instances
-/// stay on Dinic, the ν = 2 𝒩 repair flows (degree ≈ 8) switch.
+/// push-relabel's locality. No committed fabric family reaches it:
+/// vertex splitting doubles the node count, so even the ν = 2 𝒩 repair
+/// flows (`ftn 2 8 8`: 7 234 nodes, 23 072 arcs, ≈ 3.2 arcs per node)
+/// stay on Dinic — the faster kernel there by the `dinic_repair_nu2` /
+/// `push_relabel_repair_nu2` bench pair. Push-relabel runs only when
+/// requested explicitly or on denser instances.
 const PR_DENSITY: usize = 4;
 
 impl FlowKernel {

@@ -28,8 +28,8 @@ pub struct StagedNetwork {
     csr: OnceLock<Csr>,
     /// Lazily built per-vertex stage table + unit-staged flag.
     staging: OnceLock<(Vec<u32>, bool)>,
-    /// Lazily computed backward-level budget for the bidirectional
-    /// point-to-point search (see [`Self::backward_budget`]).
+    /// Lazily computed backward-level budget for the stage-aware
+    /// route search (see [`Self::backward_budget`]).
     bwd_budget: OnceLock<u32>,
     /// Lazily chosen max-flow kernel for disjoint-path queries on this
     /// topology (see [`Self::flow_kernel`]).
@@ -103,7 +103,7 @@ impl StagedNetwork {
 
     /// Flat per-vertex stage table: `stage_table()[v.index()]` equals
     /// [`Self::stage_of`]`(v)` as a `u32`. Built on first use and
-    /// cached; hot paths (the router's bidirectional search, the
+    /// cached; hot paths (the router's route search, the
     /// simulation engine's per-stage occupancy accounting) index this
     /// instead of binary-searching the stage ranges per vertex.
     pub fn stage_table(&self) -> &[u32] {
@@ -115,18 +115,19 @@ impl StagedNetwork {
     /// paper's constructions are unit-staged; [`StagedBuilder`] also
     /// admits stage-skipping edges, for which this returns `false`.
     ///
-    /// Unit-stagedness is what licenses the stage-aware bidirectional
-    /// path search ([`crate::traversal::bibfs_into`]): in a unit-staged
-    /// network a vertex at stage `s` can reach a last-stage target only
-    /// through exactly `L − s` hops, so a backward cone computed level
-    /// by level is *complete* per stage and can prune the forward
-    /// search without changing which path it finds.
+    /// Unit-stagedness is what licenses the stage-aware route search
+    /// ([`crate::traversal::bibfs_into`]): in a unit-staged network a
+    /// vertex at stage `s` can reach a last-stage target only through
+    /// exactly `L − s` hops, so a backward cone computed level by level
+    /// is *complete* per stage and can prune the forward search, and
+    /// every path to a vertex has the same length, so a first-hit
+    /// depth-first search finds the same path as a BFS.
     pub fn is_unit_staged(&self) -> bool {
         self.staging().1
     }
 
-    /// Backward-level budget for the bidirectional point-to-point
-    /// search ([`crate::traversal::bibfs_into`]) on this topology,
+    /// Backward-level budget for the stage-aware route search
+    /// ([`crate::traversal::bibfs_into`]) on this topology,
     /// computed once and cached.
     ///
     /// The budget is a *pure function of the network* — derived from a
@@ -144,7 +145,7 @@ impl StagedNetwork {
     /// fabrics with narrow output cones (Clos egress groups, butterfly
     /// sub-trees) get a deep meet, while expander-like fabrics whose
     /// cones saturate a stage in a hop or two (the paper's 𝒩 at ν = 1)
-    /// get 0, i.e. an early-exit forward search.
+    /// get 0, i.e. a forward search pruned only at the target's stage.
     pub fn backward_budget(&self) -> u32 {
         *self.bwd_budget.get_or_init(|| {
             let (Some(&input), Some(&output)) = (self.inputs.first(), self.outputs.first()) else {
@@ -219,10 +220,11 @@ impl StagedNetwork {
     ///
     /// The model mirrors [`crate::maxflow::FlowKernel::resolve`] on the
     /// vertex-split flow instance every disjoint-path query builds:
-    /// `2V + 2` flow nodes and `V + E + terminals` forward arcs. Dense
-    /// fabrics (the ν ≥ 2 𝒩 repair flows, high-degree expanders) resolve
-    /// to push-relabel; sparse ones (Beneš, butterflies, Clos at small
-    /// `n`) keep Dinic.
+    /// `2V + 2` flow nodes and `V + E + terminals` forward arcs, so
+    /// push-relabel needs `E ≳ 7V`. Every committed fabric family is
+    /// sparser than that and resolves to Dinic — the ν = 2 𝒩 repair
+    /// flows included (`ftn 2 8 8`: E ≈ 5.4 V). Push-relabel is picked
+    /// only for denser topologies.
     pub fn flow_kernel(&self) -> crate::maxflow::FlowKernel {
         *self.flow_kernel.get_or_init(|| {
             let nodes = 2 * self.graph.num_vertices() + 2;

@@ -1,4 +1,5 @@
-//! Breadth-first traversal, topological order and DAG depth.
+//! Breadth-first traversal, the stage-aware route search, topological
+//! order and DAG depth.
 //!
 //! Algorithms are generic over [`Digraph`] and accept an *edge filter* so
 //! the same code traverses a pristine network, a failure-stricken survivor
@@ -191,132 +192,41 @@ pub fn bfs_into<G: Digraph>(
     }
 }
 
-/// Expands the forward frontier entries `range` of `fwd` one stage,
-/// discovering heads that pass `ok` (and, when `prune` is given, are
-/// touched in it — the complete backward cone). Returns `true` the
-/// instant `target` is discovered; the parent chain to `target` is then
-/// final, so stopping early reconstructs the identical path.
-fn expand_forward_stage<G: Digraph>(
-    g: &G,
-    fwd: &mut TraversalWorkspace,
-    range: std::ops::Range<usize>,
-    target: VertexId,
-    mut ok: impl FnMut(VertexId) -> bool,
-    prune: Option<&TraversalWorkspace>,
-) -> bool {
-    #[inline(always)]
-    fn visit(
-        fwd: &mut TraversalWorkspace,
-        prune: Option<&TraversalWorkspace>,
-        ok: &mut impl FnMut(VertexId) -> bool,
-        e: EdgeId,
-        w: VertexId,
-        du: u32,
-        target: VertexId,
-    ) -> bool {
-        if fwd.is_touched(w.index()) || !ok(w) {
-            return false;
-        }
-        if let Some(cone) = prune {
-            if !cone.is_touched(w.index()) {
-                // Provably cannot reach the target. Mark it seen
-                // (without enqueueing) so the other edges into it
-                // short-circuit on the stamp instead of re-running the
-                // filter — never expanded, never on the path, so the
-                // backtracked result is untouched.
-                fwd.touch(w.index());
-                fwd.parent[w.index()] = EdgeId::NONE.0;
-                return false;
-            }
-        }
-        fwd.touch(w.index());
-        fwd.dist[w.index()] = du + 1;
-        fwd.parent[w.index()] = e.0;
-        fwd.queue.push(w);
-        w == target
-    }
-
-    for qi in range {
-        let u = fwd.queue[qi];
-        let du = fwd.dist[u.index()];
-        let edges = g.out_edge_slice(u);
-        match g.out_head_slice(u) {
-            // CSR fast path: neighbour read off the parallel slice.
-            Some(heads) => {
-                for (&e, &w) in edges.iter().zip(heads) {
-                    if visit(fwd, prune, &mut ok, e, w, du, target) {
-                        return true;
-                    }
-                }
-            }
-            None => {
-                for &e in edges {
-                    let w = g.other_endpoint(e, u);
-                    if visit(fwd, prune, &mut ok, e, w, du, target) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Expands the backward frontier entries `range` of `bwd` one level
 /// (toward the inputs), marking every `ok` in-tail as reaching the
-/// target. Only membership matters downstream; distances and parents
-/// are still recorded for consistency.
+/// target. Only membership matters downstream.
 fn expand_backward_level<G: Digraph>(
     g: &G,
     bwd: &mut TraversalWorkspace,
     range: std::ops::Range<usize>,
     mut ok: impl FnMut(VertexId) -> bool,
 ) {
-    #[inline(always)]
-    fn visit(
-        bwd: &mut TraversalWorkspace,
-        ok: &mut impl FnMut(VertexId) -> bool,
-        e: EdgeId,
-        w: VertexId,
-        du: u32,
-    ) {
-        if !bwd.is_touched(w.index()) && ok(w) {
-            bwd.touch(w.index());
-            bwd.dist[w.index()] = du + 1;
-            bwd.parent[w.index()] = e.0;
-            bwd.queue.push(w);
-        }
-    }
-
     for qi in range {
         let u = bwd.queue[qi];
-        let du = bwd.dist[u.index()];
-        let edges = g.in_edge_slice(u);
-        match g.in_tail_slice(u) {
-            Some(tails) => {
-                for (&e, &w) in edges.iter().zip(tails) {
-                    visit(bwd, &mut ok, e, w, du);
-                }
-            }
-            None => {
-                for &e in edges {
-                    let w = g.other_endpoint(e, u);
-                    visit(bwd, &mut ok, e, w, du);
-                }
+        let (edges, tails) = (g.in_edge_slice(u), g.in_tail_slice(u));
+        for (i, &e) in edges.iter().enumerate() {
+            // CSR fast path: neighbour read off the parallel slice.
+            let w = tails.map_or_else(|| g.other_endpoint(e, u), |t| t[i]);
+            if !bwd.is_touched(w.index()) && ok(w) {
+                bwd.touch(w.index());
+                bwd.queue.push(w);
             }
         }
     }
 }
 
-/// Bidirectional, stage-aware point-to-point search over a
-/// **unit-staged** network (every edge joins adjacent stages — see
-/// [`crate::StagedNetwork::is_unit_staged`]), meeting in the middle
-/// instead of flooding the whole graph.
+/// Stage-aware point-to-point route search over a **unit-staged**
+/// network (every edge joins adjacent stages — see
+/// [`crate::StagedNetwork::is_unit_staged`]): a backward cone grown
+/// from `target`, then a first-hit depth-first search from `source`
+/// pruned to that cone.
 ///
 /// Returns whether `target` is reachable from `source` through vertices
 /// passing `vertex_ok`; on success the path is read from `fwd` with
 /// [`TraversalWorkspace::path_to`] /
-/// [`TraversalWorkspace::path_to_into`].
+/// [`TraversalWorkspace::path_to_into`]. Nothing else in `fwd` is
+/// meaningful afterwards: its queue is the search stack and its
+/// distance slots hold out-edge cursors.
 ///
 /// # Exactness
 ///
@@ -325,13 +235,37 @@ fn expand_backward_level<G: Digraph>(
 /// vertex filter (and no edge filter) produces — same parent edges,
 /// same tie-breaks — so callers whose downstream behaviour depends on
 /// the exact path (the deterministic simulation engine, whose event
-/// fingerprints are pinned) can switch kernels without perturbing a
-/// single event. Two facts make the backward prune invisible:
+/// fingerprints are pinned) see the BFS path at a fraction of the work.
+///
+/// Order the source → `v` paths through `vertex_ok` vertices
+/// lexicographically by the sequence of out-edge *positions* they take
+/// (the index of each edge in its tail's out-edge list).
+///
+/// 1. **BFS returns the lexicographically first path.** Unit staging
+///    puts every vertex at BFS distance `stage − s0`, so all paths to a
+///    vertex have the same length. BFS dequeues a stage in the order of
+///    its vertices' first paths, and scans out-edges by position, so a
+///    vertex is discovered from the predecessor with the smallest first
+///    path, via that predecessor's first edge to it — which is the
+///    smallest path to the vertex. By induction over stages the BFS
+///    tree path to every vertex, `target` included, is its
+///    lexicographically first path.
+/// 2. **The depth-first search returns it too.** The search scans
+///    out-edges by position, so it tries paths in lexicographic order.
+///    It stamps every vertex the first time it sees it and never looks
+///    at it again; a stamped vertex is rejected (not `vertex_ok`, or
+///    outside the cone), on the stack (impossible to meet again: the
+///    stack holds only earlier stages), or exhausted — every out-edge
+///    tried without reaching `target`, so no path through it can. Each
+///    skip therefore only drops paths that cannot reach `target`, and
+///    the first path to reach it is the lexicographically first one.
+///
+/// Two facts make the backward prune invisible:
 ///
 /// 1. **Closure.** If a vertex reaches `target` through `vertex_ok`
 ///    vertices, so does each of its `vertex_ok` in-neighbours (via that
-///    vertex). Pruning to "reaches `target`" therefore never removes a
-///    potential discoverer of a surviving vertex.
+///    vertex), so the cone is exactly the target-reaching set on every
+///    stage it covers, and is itself made of `vertex_ok` vertices.
 /// 2. **Stage-completeness.** Unit staging means a vertex at stage `s`
 ///    can reach the stage-`sL` target only in exactly `sL − s` hops, so
 ///    once the backward cone has been expanded `j` levels it is
@@ -339,26 +273,24 @@ fn expand_backward_level<G: Digraph>(
 ///    target-reachability. The forward search is pruned only at those
 ///    stages.
 ///
-/// By induction over stages the pruned forward search discovers every
-/// surviving (target-reaching) vertex via the same first-discoverer
-/// edge, in the same relative order, as the unpruned search — pruned
-/// vertices can never appear on the backtracked path, so the path and
-/// the blocked verdict coincide. Pinned by proptests against [`bfs`].
+/// Every vertex is stamped at most once and every out-edge scanned at
+/// most once, so a blocked search is O(V + E), like the BFS. Pinned by
+/// proptests against [`bfs_into`].
 ///
 /// # Backward budget
 ///
 /// `max_backward_levels` caps how many levels the backward cone may
-/// grow. The cap trades pruning power against backward scan cost and
-/// **cannot affect the result** (any correct prune is invisible —
-/// exactness holds for every budget, which the proptests sample):
-/// fabrics with narrow output cones (Clos egress groups, butterfly
-/// sub-trees) profit from a deep meet, while expander-like fabrics
-/// whose cones saturate a stage in one or two hops (the paper's 𝒩)
-/// should pass a small budget or `0`, degrading gracefully to an
-/// early-exit forward search pruned only at the target's own stage.
-/// Callers that route many times over one topology should derive the
-/// budget from a one-off structural analysis (see
-/// `CircuitRouter::backward_budget` in `ft-networks`).
+/// grow (never past the stage after `source`). The cap trades pruning
+/// power against backward scan cost and **cannot affect the result**
+/// (any correct prune is invisible — exactness holds for every budget,
+/// which the proptests sample): fabrics with narrow output cones (Clos
+/// egress groups, butterfly sub-trees) profit from a deep cone, while
+/// expander-like fabrics whose cones saturate a stage in one or two
+/// hops (the paper's 𝒩) should pass a small budget or `0`, leaving a
+/// depth-first search pruned only at the target's own stage. Callers
+/// that route many times over one topology should derive the budget
+/// from a one-off structural analysis (see
+/// [`crate::StagedNetwork::backward_budget`]).
 ///
 /// `vertex_ok` must be a pure predicate: it is consulted in an
 /// unspecified order and from both directions.
@@ -392,61 +324,69 @@ pub fn bibfs_into<G: Digraph>(
         return false; // stages only increase along unit-staged edges
     }
     bwd.touch(target.index());
-    bwd.dist[target.index()] = 0;
-    bwd.parent[target.index()] = EdgeId::NONE.0;
     bwd.queue.push(target);
 
-    // Stages `meet..=sl` have a complete backward cone in `bwd`.
+    // Backward cone: stages `meet..=sl` end up complete in `bwd`.
     let mut meet = sl;
-    let mut fstage = s0; // stage of the current forward frontier
-    let (mut fhead, mut bhead) = (0usize, 0usize);
-
-    // Phase 1: grow whichever frontier is currently smaller until they
-    // are adjacent (or the backward budget is spent). Forward expansion
-    // below the meet stage cannot be pruned (no backward information
-    // exists there yet).
-    while fstage + 1 < meet {
-        let flen = fwd.queue.len() - fhead;
-        let blen = bwd.queue.len() - bhead;
-        let may_grow_bwd = sl - meet < max_backward_levels;
-        if may_grow_bwd && blen <= flen {
-            let end = bwd.queue.len();
-            bwd.stats.bibfs_pops += (end - bhead) as u64;
-            expand_backward_level(g, bwd, bhead..end, &mut vertex_ok);
-            bhead = end;
-            meet -= 1;
-            if bwd.queue.len() == bhead {
-                // No vertex at stage `meet` reaches the target, and any
-                // source → target path must cross that stage.
-                return false;
-            }
-        } else {
-            let end = fwd.queue.len();
-            fwd.stats.bibfs_pops += (end - fhead) as u64;
-            if expand_forward_stage(g, fwd, fhead..end, target, &mut vertex_ok, None) {
-                return true; // adjacent-stage source/target pairs
-            }
-            fhead = end;
-            fstage += 1;
-            if fwd.queue.len() == fhead {
-                return false;
-            }
-        }
-    }
-
-    // Phase 2: forward expansion pruned to the backward cone, stopping
-    // the instant the target is discovered.
-    loop {
-        let end = fwd.queue.len();
-        if fhead == end {
+    let mut bhead = 0usize;
+    while s0 + 1 < meet && sl - meet < max_backward_levels {
+        let end = bwd.queue.len();
+        bwd.stats.bibfs_pops += (end - bhead) as u64;
+        expand_backward_level(g, bwd, bhead..end, &mut vertex_ok);
+        bhead = end;
+        meet -= 1;
+        if bwd.queue.len() == bhead {
+            // No vertex at stage `meet` reaches the target, and any
+            // source → target path must cross that stage.
             return false;
         }
-        fwd.stats.bibfs_pops += (end - fhead) as u64;
-        if expand_forward_stage(g, fwd, fhead..end, target, &mut vertex_ok, Some(bwd)) {
-            return true;
-        }
-        fhead = end;
     }
+
+    // Depth-first search: `fwd.queue` is the stack (stack depth =
+    // stage − s0) and `fwd.dist[u]` the next out-edge position of `u`.
+    fwd.stats.bibfs_pops += 1;
+    while let Some(&u) = fwd.queue.last() {
+        // Children sit at stage `s0 + depth`; from `meet` on, the cone
+        // decides (it holds only `vertex_ok` vertices).
+        let pruned = s0 + fwd.queue.len() as u32 >= meet;
+        let (edges, heads) = (g.out_edge_slice(u), g.out_head_slice(u));
+        let mut i = fwd.dist[u.index()] as usize;
+        let mut step = None;
+        while i < edges.len() {
+            let e = edges[i];
+            let w = heads.map_or_else(|| g.other_endpoint(e, u), |h| h[i]);
+            i += 1;
+            if fwd.is_touched(w.index()) {
+                continue;
+            }
+            fwd.touch(w.index());
+            let keep = if pruned {
+                bwd.is_touched(w.index())
+            } else {
+                vertex_ok(w)
+            };
+            if keep {
+                step = Some((e, w));
+                break;
+            }
+        }
+        fwd.dist[u.index()] = i as u32;
+        match step {
+            Some((e, w)) => {
+                fwd.parent[w.index()] = e.0;
+                if w == target {
+                    return true;
+                }
+                fwd.stats.bibfs_pops += 1;
+                fwd.dist[w.index()] = 0;
+                fwd.queue.push(w);
+            }
+            None => {
+                fwd.queue.pop();
+            }
+        }
+    }
+    false
 }
 
 /// BFS forward from a single source with no filters.
@@ -756,6 +696,66 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bibfs_takes_the_bfs_path_in_out_edge_order() {
+        use crate::staged::StagedBuilder;
+        // s = 0 | a = 1, b = 2 | c = 3, d = 4, e = 5 | t = 6, u = 7.
+        // Out-edges are inserted against id order (s: b before a), and
+        // e is a dead end (it reaches only u) entered from b and from a.
+        let mut g = StagedBuilder::new();
+        for width in [1, 2, 3, 2] {
+            g.add_stage(width);
+        }
+        for (t, h) in [
+            (0, 2),
+            (0, 1),
+            (2, 5),
+            (2, 4),
+            (1, 3),
+            (1, 5),
+            (5, 7),
+            (4, 6),
+            (3, 6),
+        ] {
+            g.add_edge(v(t), v(h));
+        }
+        g.set_inputs(vec![v(0)]);
+        g.set_outputs(vec![v(6), v(7)]);
+        let net = g.finish();
+        assert!(net.is_unit_staged());
+        let csr = net.csr();
+        let (mut rws, mut fwd, mut bwd) = (
+            TraversalWorkspace::new(),
+            TraversalWorkspace::new(),
+            TraversalWorkspace::new(),
+        );
+        // BFS and the out-edge-ordered search take s b d t. A search in
+        // vertex-id order (a before b), or one that pushes all of a
+        // vertex's children and pops the last (b, a → a first), takes
+        // s a c t. With d busy, the search must give up on b — after
+        // dead-ending in e — and find s a c t without re-entering e.
+        for (busy, want) in [(None, [0, 2, 4, 6]), (Some(v(4)), [0, 1, 3, 6])] {
+            let ok = |u: VertexId| Some(u) != busy;
+            bfs_into(csr, &[v(0)], Direction::Forward, |_| true, ok, &mut rws);
+            let want: Vec<VertexId> = want.into_iter().map(v).collect();
+            assert_eq!(rws.path_to(csr, v(6)).unwrap(), want);
+            for budget in [0, 1, 2, u32::MAX] {
+                let found = bibfs_into(
+                    csr,
+                    v(0),
+                    v(6),
+                    net.stage_table(),
+                    budget,
+                    ok,
+                    &mut fwd,
+                    &mut bwd,
+                );
+                assert!(found, "budget {budget}");
+                assert_eq!(fwd.path_to(csr, v(6)).unwrap(), want, "budget {budget}");
             }
         }
     }

@@ -35,9 +35,10 @@ pub struct KernelStats {
     /// Epoch-stamped workspace resets (`begin` calls): one per
     /// traversal started, the O(1)-clear discipline's unit of work.
     pub epoch_resets: u64,
-    /// Vertices popped off the bidirectional route search's frontiers
-    /// ([`crate::traversal::bibfs_into`], both cones) — the dominant
-    /// cost of a `connect` attempt.
+    /// Vertices expanded by the route search, both cones
+    /// ([`crate::traversal::bibfs_into`]: the backward cone's levels
+    /// and the depth-first search's steps) — the dominant cost of a
+    /// `connect` attempt.
     pub bibfs_pops: u64,
     /// Worklist pops of the 64-lane sliced reachability sweep.
     pub sliced_pops: u64,
@@ -68,13 +69,15 @@ pub struct TraversalWorkspace {
     /// Current epoch; an entry `i` is live iff `stamp[i] == epoch`.
     epoch: u32,
     stamp: Vec<u32>,
-    /// BFS distance / Dinic level of each touched entry.
+    /// BFS distance / Dinic level / route-search out-edge cursor of
+    /// each touched entry.
     pub(crate) dist: Vec<u32>,
     /// BFS parent edge bits / Dinic per-node arc cursor.
     pub(crate) parent: Vec<u32>,
-    /// FIFO queue; after a BFS this is the discovery order.
+    /// FIFO queue (route-search stack); after a BFS this is the
+    /// discovery order.
     pub(crate) queue: Vec<VertexId>,
-    /// Deterministic work counters (resets, bibfs frontier pops).
+    /// Deterministic work counters (resets, route-search expansions).
     pub(crate) stats: KernelStats,
 }
 

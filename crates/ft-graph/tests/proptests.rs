@@ -355,39 +355,48 @@ proptest! {
         }
     }
 
-    /// The bidirectional stage-aware search must be *bit-identical* to a
-    /// full forward BFS: same reachability verdict and the same path
-    /// (same vertices, same tie-breaks) for every terminal pair, under
-    /// arbitrary idle masks. The simulation engine's pinned event
-    /// fingerprints rely on this equivalence.
+    /// The stage-aware route search must be *bit-identical* to a full
+    /// forward BFS: same reachability verdict and the same path (same
+    /// vertices, same tie-breaks) for every terminal pair, under
+    /// arbitrary idle masks — mostly idle (searches hit early) and 40%
+    /// idle (searches are mostly blocked and explore everything). The
+    /// simulation engine's pinned event fingerprints rely on this
+    /// equivalence.
     #[test]
     fn bibfs_matches_forward_bfs_exactly(
         seed in 0u64..1000,
         widths in proptest::collection::vec(1usize..6, 2..6),
     ) {
+        use rand::seq::SliceRandom;
         use rand::Rng;
         let mut r = gen::rng(seed);
         let mut b = StagedBuilder::new();
         let ranges: Vec<_> = widths.iter().map(|&w| b.add_stage(w)).collect();
+        let mut edges = Vec::new();
         for w in ranges.windows(2) {
             for t in w[0].clone() {
                 for h in w[1].clone() {
                     if r.random_bool(0.6) {
-                        b.add_edge(VertexId(t), VertexId(h));
+                        edges.push((t, h));
                     }
                     if r.random_bool(0.1) {
                         // parallel switches stress the tie-break rules
-                        b.add_edge(VertexId(t), VertexId(h));
+                        edges.push((t, h));
                     }
                 }
             }
+        }
+        // Insert in random order, so out-edge order is not vertex-id
+        // order: the search must follow the former.
+        edges.shuffle(&mut r);
+        for (t, h) in edges {
+            b.add_edge(VertexId(t), VertexId(h));
         }
         b.set_inputs(ranges[0].clone().map(VertexId).collect());
         b.set_outputs(ranges[ranges.len() - 1].clone().map(VertexId).collect());
         let net = b.finish();
         prop_assume!(net.is_unit_staged());
         let n = net.graph().num_vertices();
-        let idle: Vec<bool> = (0..n).map(|_| r.random_bool(0.8)).collect();
         let csr = net.csr();
         let stage_of = net.stage_table();
         let (mut reference, mut fwd, mut bwd) = (
@@ -395,29 +404,32 @@ proptest! {
             TraversalWorkspace::new(),
             TraversalWorkspace::new(),
         );
-        for &src in net.inputs() {
-            for &dst in net.outputs() {
-                if !idle[src.index()] || !idle[dst.index()] {
-                    continue;
-                }
-                bfs_into(csr, &[src], Direction::Forward, |_| true,
-                         |v| idle[v.index()], &mut reference);
-                let want = reference.path_to(csr, dst);
-                // exactness must hold under EVERY backward budget
-                for budget in [0u32, 1, 2, u32::MAX] {
-                    // CSR fast path (parallel head slices)
-                    let got = bibfs_into(csr, src, dst, stage_of, budget,
-                                         |v| idle[v.index()], &mut fwd, &mut bwd);
-                    prop_assert_eq!(got, want.is_some());
-                    if got {
-                        prop_assert_eq!(fwd.path_to(csr, dst), want.clone());
+        for p_idle in [0.8, 0.4] {
+            let idle: Vec<bool> = (0..n).map(|_| r.random_bool(p_idle)).collect();
+            for &src in net.inputs() {
+                for &dst in net.outputs() {
+                    if !idle[src.index()] || !idle[dst.index()] {
+                        continue;
                     }
-                    // generic fallback (no head slices on StagedNetwork)
-                    let got2 = bibfs_into(&net, src, dst, stage_of, budget,
-                                          |v| idle[v.index()], &mut fwd, &mut bwd);
-                    prop_assert_eq!(got2, want.is_some());
-                    if got2 {
-                        prop_assert_eq!(fwd.path_to(&net, dst), want.clone());
+                    bfs_into(csr, &[src], Direction::Forward, |_| true,
+                             |v| idle[v.index()], &mut reference);
+                    let want = reference.path_to(csr, dst);
+                    // exactness must hold under EVERY backward budget
+                    for budget in [0u32, 1, 2, u32::MAX] {
+                        // CSR fast path (parallel head slices)
+                        let got = bibfs_into(csr, src, dst, stage_of, budget,
+                                             |v| idle[v.index()], &mut fwd, &mut bwd);
+                        prop_assert_eq!(got, want.is_some());
+                        if got {
+                            prop_assert_eq!(fwd.path_to(csr, dst), want.clone());
+                        }
+                        // generic fallback (no head slices on StagedNetwork)
+                        let got2 = bibfs_into(&net, src, dst, stage_of, budget,
+                                              |v| idle[v.index()], &mut fwd, &mut bwd);
+                        prop_assert_eq!(got2, want.is_some());
+                        if got2 {
+                            prop_assert_eq!(fwd.path_to(&net, dst), want.clone());
+                        }
                     }
                 }
             }

@@ -2,8 +2,9 @@
 //!
 //! §4's third observation: because the fault-tolerant construction
 //! contains a *strictly* nonblocking network, "routing can be performed
-//! by a greedy application of a standard path-finding algorithm" — plain
-//! BFS over idle vertices, no rearrangement, no cleverness. The router
+//! by a greedy application of a standard path-finding algorithm" — the
+//! BFS path over idle vertices (found by a first-hit depth-first
+//! search), no rearrangement, no cleverness. The router
 //! maintains busy marks for established circuits, supports an external
 //! liveness mask (the repair procedure's surviving vertices), and serves
 //! connect/disconnect churn.
@@ -48,11 +49,12 @@ pub struct SessionId(pub u32);
 ///
 /// Path searches run over the network's cached CSR snapshot with
 /// router-owned [`TraversalWorkspace`]s. On unit-staged networks (all
-/// of the paper's constructions) `connect` uses the bidirectional
-/// stage-aware kernel [`bibfs_into`], which meets in the middle instead
-/// of flooding the whole fabric yet returns the *bit-identical* path a
-/// full forward BFS would — the deterministic simulation depends on
-/// that. Session path buffers are pooled and reused, so steady-state
+/// of the paper's constructions) `connect` uses the stage-aware route
+/// search [`bibfs_into`] — a backward cone plus a first-hit
+/// depth-first search — which stops at the first idle path instead of
+/// flooding the fabric yet returns the *bit-identical* path a full
+/// forward BFS would; the deterministic simulation depends on that.
+/// Session path buffers are pooled and reused, so steady-state
 /// connect/disconnect churn allocates nothing.
 ///
 /// Because circuits are vertex-disjoint, each vertex carries at most
@@ -76,7 +78,7 @@ pub struct CircuitRouter<'a> {
     csr: &'a ft_graph::Csr,
     /// Cached per-vertex stage table (same reasoning).
     stage_tab: &'a [u32],
-    /// Whether the network is unit-staged (bidirectional search legal).
+    /// Whether the network is unit-staged (stage-aware search legal).
     unit_staged: bool,
     /// Vertices usable at all (repair mask); true = usable.
     alive: Vec<bool>,
@@ -91,12 +93,12 @@ pub struct CircuitRouter<'a> {
     free: Vec<u32>,
     /// Cleared path buffers recycled across sessions.
     spare: Vec<Vec<VertexId>>,
-    /// Backward-level budget for the bidirectional search — the
+    /// Backward-level budget for the route search — the
     /// network's cached structural analysis
     /// ([`StagedNetwork::backward_budget`]).
     bwd_budget: u32,
     ws: TraversalWorkspace,
-    /// Backward-cone workspace of the bidirectional search.
+    /// Backward-cone workspace of the route search.
     ws_b: TraversalWorkspace,
 }
 
@@ -169,7 +171,7 @@ impl<'a> CircuitRouter<'a> {
     }
 
     /// Accumulated per-kernel work counters of the router's search
-    /// workspaces (both cones of the bidirectional search). Counters are
+    /// workspaces (both cones of the route search). Counters are
     /// deterministic functions of the connect/disconnect history, so
     /// they may feed byte-reproducible reports; deltas around a single
     /// `connect` measure that attempt's search effort.
@@ -180,15 +182,22 @@ impl<'a> CircuitRouter<'a> {
         s
     }
 
-    /// Attempts to connect `input → output` greedily (BFS over idle
-    /// vertices, shortest idle path). On success the path's vertices
-    /// become busy.
+    /// Attempts to connect `input → output` greedily over idle
+    /// vertices, taking the path a forward BFS would find. On success
+    /// the path's vertices become busy.
     ///
-    /// On unit-staged networks the search is the bidirectional
-    /// stage-aware kernel; its result (path and verdict) is bit-equal
-    /// to the full forward BFS it replaces, so routing decisions — and
-    /// with them the simulation's pinned event fingerprints — are
-    /// unchanged.
+    /// That path is the *lexicographically first* idle path, ordered by
+    /// the out-edge position taken at each hop: in a unit-staged
+    /// network every path to a vertex has the same length, so the BFS
+    /// tree path is the one that branches earliest in out-edge order.
+    /// On unit-staged networks `connect` therefore runs [`bibfs_into`],
+    /// a depth-first search that scans out-edges in order, never
+    /// revisits a vertex, and stops at the first hit — which is that
+    /// same path (see its rustdoc for the argument). Path and verdict
+    /// are bit-equal to the forward BFS, so routing decisions, and
+    /// with them the simulation's pinned event fingerprints, do not
+    /// depend on which search ran; only the work counted in
+    /// [`Self::kernel_stats`] does.
     pub fn connect(&mut self, input: VertexId, output: VertexId) -> Result<SessionId, RouteError> {
         if !self.is_idle(input) {
             return Err(RouteError::InputUnavailable(input));

@@ -71,8 +71,8 @@ pub fn bucket_index(v: f64) -> u32 {
 }
 
 /// Total number of buckets: the length of dense bucket-indexed scratch
-/// arrays that hot recording loops accumulate into before folding them
-/// in via [`Hist::record_bucket_n`].
+/// arrays that hot recording loops accumulate into and read with
+/// [`quantile_of`].
 pub const NUM_BUCKETS: usize = OVERFLOW as usize + 1;
 
 /// Lower edge of a bucket: the smallest value that maps into it (0.0 for
@@ -93,6 +93,30 @@ pub fn bucket_lower_edge(idx: u32) -> f64 {
     f64::from_bits((octave + 991) << 52 | sub << 47)
 }
 
+/// Nearest-rank quantile over occupied `(bucket index, count)` pairs
+/// given in ascending index order and summing to `total`: the lower
+/// edge of the bucket holding the `ceil(p/100 * total)`-th smallest
+/// sample, or 0.0 when `total` is 0. This is the rule behind
+/// [`Hist::quantile`], shared with dense bucket-indexed scratch arrays
+/// (see [`NUM_BUCKETS`]) that are read without building a `Hist`.
+pub fn quantile_of(buckets: impl IntoIterator<Item = (u32, u64)>, total: u64, p: f64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * total as f64).ceil() as u64;
+    let rank = rank.clamp(1, total);
+    let (mut seen, mut last) = (0u64, ZERO);
+    for (idx, c) in buckets {
+        seen += c;
+        last = idx;
+        if seen >= rank {
+            break;
+        }
+    }
+    // `last` holds the rank unless the counts fall short of `total`.
+    bucket_lower_edge(last)
+}
+
 /// Sparse streaming histogram over log-spaced buckets.
 ///
 /// Occupied buckets are kept as a `(index, count)` vector sorted by
@@ -105,8 +129,8 @@ pub struct Hist {
     buckets: Vec<(u32, u64)>,
     /// Cursor to the bucket the last `record*` touched — a pure lookup
     /// cache (excluded from equality) that makes streams of repeating
-    /// or slowly drifting values (occupancies, path lengths, setup
-    /// costs) O(1) per sample instead of a binary search.
+    /// or slowly drifting values (path lengths, event-count latencies)
+    /// O(1) per sample instead of a binary search.
     cursor: usize,
 }
 
@@ -145,16 +169,6 @@ impl Hist {
             }
         }
         self.record_slow(idx, n);
-    }
-
-    /// Record `n` samples directly into bucket `idx` (as produced by
-    /// [`bucket_index`]): the fold side of dense-scratch accumulation,
-    /// equivalent to `record_n` of any value mapping to `idx`.
-    pub fn record_bucket_n(&mut self, idx: u32, n: u64) {
-        assert!(idx <= OVERFLOW, "bucket index {idx} out of range");
-        if n > 0 {
-            self.record_slow(idx, n);
-        }
     }
 
     /// Binary-search fallback when the cursor misses; keeps the hot
@@ -225,21 +239,7 @@ impl Hist {
     /// histogram. Exact for integer samples in `0 ..= 63`; otherwise the
     /// reported edge is within 3.125% below the true sample.
     pub fn quantile(&self, p: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil() as u64;
-        let rank = rank.clamp(1, total);
-        let mut seen = 0u64;
-        for &(idx, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return bucket_lower_edge(idx);
-            }
-        }
-        // Unreachable: seen == total >= rank by the clamp above.
-        bucket_lower_edge(self.buckets[self.buckets.len() - 1].0)
+        quantile_of(self.iter(), self.count(), p)
     }
 
     /// Iterate occupied `(bucket index, count)` pairs in index order.
@@ -414,10 +414,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_bucket_fold_equals_direct_records() {
-        // Accumulate into a dense bucket-indexed scratch, fold it in,
-        // and compare against direct recording — the hot-loop pattern
-        // the sim uses for per-stage occupancy sampling.
+    fn dense_bucket_quantiles_equal_direct_records() {
+        // Accumulate into a dense bucket-indexed scratch and read its
+        // quantiles with `quantile_of` — the hot-loop pattern the sim
+        // uses for occupancy, setup cost and path length — against a
+        // histogram recording the same samples directly.
         let vals = [0.0, 1.0, 1.0, 2.0, 7.0, 7.0, 7.0, 123.456];
         let mut dense = vec![0u64; NUM_BUCKETS];
         let mut direct = Hist::new();
@@ -425,12 +426,18 @@ mod tests {
             dense[bucket_index(v) as usize] += 1;
             direct.record(v);
         }
-        let mut folded = Hist::new();
-        for (idx, &n) in dense.iter().enumerate() {
-            folded.record_bucket_n(idx as u32, n);
+        let occupied = || {
+            dense
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(idx, &n)| (idx as u32, n))
+        };
+        for p in [0.0, 10.0, 50.0, 62.5, 99.0, 100.0] {
+            let got = quantile_of(occupied(), vals.len() as u64, p);
+            assert_eq!(got, direct.quantile(p), "p{p}");
         }
-        assert_eq!(folded, direct);
-        assert_eq!(folded.to_compact_string(), direct.to_compact_string());
+        assert_eq!(quantile_of(std::iter::empty(), 0, 50.0), 0.0);
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod profile;
 pub use atomicio::write_atomic;
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{Noop, Observer, TraceBuf, TraceEvent};
-pub use hist::{bucket_index, bucket_lower_edge, Hist, NUM_BUCKETS};
+pub use hist::{bucket_index, bucket_lower_edge, quantile_of, Hist, NUM_BUCKETS};
 pub use profile::{KvLine, Profiler};

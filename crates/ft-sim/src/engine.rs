@@ -36,7 +36,7 @@ use ft_failure::{AliveTracker, FailureInstance, SwitchState};
 use ft_graph::gen::{random_permutation, rng};
 use ft_graph::{Digraph, EdgeId, KernelStats, VertexId};
 use ft_networks::{CircuitRouter, MincostBatch, RouteError, SessionId};
-use ft_obs::{Hist, Noop, Observer, TraceEvent};
+use ft_obs::{Noop, Observer, TraceEvent};
 use rand::rngs::SmallRng;
 
 /// Resolved simulation parameters (one seed's worth of work).
@@ -150,10 +150,10 @@ pub struct SimWorkspace {
     /// the per-arrival occupancy sweep — every stage near the same
     /// occupancy bucket — touches adjacent words): rows `0..stages`
     /// hold arrival-observed per-stage occupancy (PASTA draws), row
-    /// `stages` setup cost, row `stages + 1` path length. Folded into
-    /// the corresponding `Metrics` histograms once per seed, so the
-    /// per-arrival recording cost is one add per sample. All-zero
-    /// between seeds (the flush re-zeroes every touched entry).
+    /// `stages` setup cost, row `stages + 1` path length. Reduced to
+    /// the `Metrics` quantiles once per seed, so the per-arrival
+    /// recording cost is one add per sample. All-zero between seeds
+    /// (the flush re-zeroes every touched entry).
     dense_hist: Vec<u64>,
     /// Flat indices of nonzero `dense_hist` entries, first-touch order.
     dense_touched: Vec<u32>,
@@ -300,7 +300,6 @@ pub fn run_seed_obs<O: Observer>(
 
     let metrics = Metrics {
         stage_busy_time: vec![0.0; num_stages],
-        stage_occupancy_hist: vec![Hist::new(); num_stages],
         measured_time: cfg.duration - cfg.warmup,
         buckets: vec![Bucket::default(); cfg.buckets.max(1)],
         ..Metrics::default()
@@ -346,7 +345,7 @@ pub fn run_seed_obs<O: Observer>(
     };
     engine.schedule_initial();
     engine.run();
-    engine.flush_hists();
+    engine.flush_quantiles();
     SeedOutcome {
         seed,
         metrics: engine.metrics,
@@ -366,11 +365,19 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
     }
 
+    /// Rows of the dense histogram scratch: one per stage, then setup
+    /// cost and path length.
+    #[inline]
+    fn hist_rows(&self) -> usize {
+        self.ws.busy_now.len() + 2
+    }
+
     /// Records one sample into a dense scratch row: one array add per
-    /// sample on the arrival hot path, deferred to [`Self::flush_hists`].
+    /// sample on the arrival hot path, deferred to
+    /// [`Self::flush_quantiles`].
     #[inline]
     fn dense_record(&mut self, row: usize, v: f64) {
-        let rows = self.metrics.stage_occupancy_hist.len() + 2;
+        let rows = self.hist_rows();
         let flat = ft_obs::bucket_index(v) as usize * rows + row;
         let c = &mut self.ws.dense_hist[flat];
         if *c == 0 {
@@ -379,27 +386,36 @@ impl<'a, O: Observer> Engine<'a, O> {
         *c += 1;
     }
 
-    /// Folds the dense scratch into the occupancy / setup-cost /
-    /// path-length histograms and re-zeroes it, restoring the
-    /// between-seeds invariant. The sparse `Hist` is canonical by
-    /// construction, so the first-touch flush order cannot affect the
-    /// folded bytes.
-    fn flush_hists(&mut self) {
-        let stages = self.metrics.stage_occupancy_hist.len();
-        for k in 0..self.ws.dense_touched.len() {
-            let flat = self.ws.dense_touched[k] as usize;
-            let n = std::mem::take(&mut self.ws.dense_hist[flat]);
-            let (row, idx) = (flat % (stages + 2), flat / (stages + 2));
-            let h = if row < stages {
-                &mut self.metrics.stage_occupancy_hist[row]
-            } else if row == stages {
-                &mut self.metrics.setup_cost_hist
-            } else {
-                &mut self.metrics.path_len_hist
+    /// Reads the quantiles the report prints off the dense scratch —
+    /// bucket lower edges under [`ft_obs::quantile_of`], the rule of
+    /// [`ft_obs::Hist::quantile`] — and re-zeroes it, restoring the
+    /// between-seeds invariant.
+    fn flush_quantiles(&mut self) {
+        let rows = self.hist_rows();
+        let stages = rows - 2;
+        let ws = &mut *self.ws;
+        // Flat indices are bucket-major, so sorted they visit each
+        // row's buckets in value order.
+        ws.dense_touched.sort_unstable();
+        let (dense, touched) = (&ws.dense_hist, &ws.dense_touched);
+        let q = |row: usize, p: f64| {
+            let cells = || {
+                touched
+                    .iter()
+                    .map(|&f| f as usize)
+                    .filter(move |f| f % rows == row)
+                    .map(|f| ((f / rows) as u32, dense[f]))
             };
-            h.record_bucket_n(idx as u32, n);
+            ft_obs::quantile_of(cells(), cells().map(|(_, c)| c).sum(), p)
+        };
+        let m = &mut self.metrics;
+        m.stage_occupancy_p99 = (0..stages).map(|s| q(s, 99.0)).collect();
+        (m.setup_cost_p50, m.setup_cost_p99) = (q(stages, 50.0), q(stages, 99.0));
+        (m.path_len_p50, m.path_len_p99) = (q(stages + 1, 50.0), q(stages + 1, 99.0));
+        for &f in &ws.dense_touched {
+            ws.dense_hist[f as usize] = 0;
         }
-        self.ws.dense_touched.clear();
+        ws.dense_touched.clear();
     }
 
     /// Takes the trace scratch buffer filled with a session's path as
@@ -622,9 +638,9 @@ impl<'a, O: Observer> Engine<'a, O> {
             // PASTA sampling: the occupancy this Poisson arrival sees is
             // an unbiased draw of the time-average per-stage occupancy.
             // Counts land in the dense scratch (one add per stage); the
-            // end-of-run flush folds them into the per-stage histograms.
+            // end-of-run flush reads the per-stage p99 off it.
+            let rows = self.hist_rows();
             let ws = &mut *self.ws;
-            let rows = self.metrics.stage_occupancy_hist.len() + 2;
             for (s, &busy) in ws.busy_now.iter().enumerate() {
                 let flat = ft_obs::bucket_index(busy as f64) as usize * rows + s;
                 let c = &mut ws.dense_hist[flat];
@@ -646,10 +662,10 @@ impl<'a, O: Observer> Engine<'a, O> {
         };
         let attempt = self.router.connect(input, output);
         if measured {
-            // Setup cost in bibfs frontier pops: the deterministic
+            // Setup cost in route-search expansions: the deterministic
             // search-effort analogue of setup latency.
             let pops = self.router.kernel_stats().bibfs_pops - pops_before;
-            let row = self.metrics.stage_occupancy_hist.len();
+            let row = self.hist_rows() - 2;
             self.dense_record(row, pops as f64);
         }
         match attempt {
@@ -672,7 +688,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     self.metrics.connected += 1;
                     self.metrics.total_path_len += len;
                     self.metrics.max_path_len = self.metrics.max_path_len.max(len);
-                    let row = self.metrics.stage_occupancy_hist.len() + 1;
+                    let row = self.hist_rows() - 1;
                     self.dense_record(row, len as f64);
                 }
             }

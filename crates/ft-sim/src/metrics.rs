@@ -6,13 +6,15 @@
 //! time-series buckets always span the full run (the transient is
 //! exactly what they are for).
 //!
-//! Distribution-shaped metrics (reroute latencies, setup cost, path
-//! length, per-stage occupancy) are streamed into [`ft_obs::Hist`]
-//! log-bucketed histograms instead of per-sample vectors: the per-seed
-//! memory bound becomes O(occupied buckets) — a prerequisite for
-//! 10⁷-event runs — and quantiles merge *exactly* across seeds by
-//! summing bucket counts, so aggregate p50/p99/p999 are byte-identical
-//! however the seeds were spread over worker threads.
+//! Reroute latencies are streamed into [`ft_obs::Hist`] log-bucketed
+//! histograms instead of per-sample vectors: the per-seed memory bound
+//! becomes O(occupied buckets) — a prerequisite for 10⁷-event runs —
+//! and quantiles merge *exactly* across seeds by summing bucket counts.
+//! Setup cost, path length and per-stage occupancy are sampled on
+//! every arrival; the engine counts them in a dense per-worker bucket
+//! scratch and keeps only the quantiles the report prints (same
+//! buckets, same nearest-rank rule as [`ft_obs::Hist::quantile`]), so
+//! a retained seed outcome stays a few hundred bytes.
 
 use ft_obs::Hist;
 
@@ -90,16 +92,21 @@ pub struct Metrics {
     pub reroute_hist_events: Hist,
     /// Reroute-latency distribution in sim-time (kill → re-establish).
     pub reroute_hist_time: Hist,
-    /// Setup-cost distribution: bibfs frontier pops spent per arrival
+    /// Median setup cost: route-search expansions
+    /// ([`ft_graph::KernelStats::bibfs_pops`]) spent per arrival
     /// connect attempt — the deterministic search-effort analogue of
     /// setup latency (wall-clock would break byte-reproducibility).
-    pub setup_cost_hist: Hist,
-    /// Path-length distribution (switches) over established circuits.
-    pub path_len_hist: Hist,
-    /// Per-stage occupancy distributions: busy-vertex count of each
+    pub setup_cost_p50: f64,
+    /// 99th-percentile setup cost (same unit).
+    pub setup_cost_p99: f64,
+    /// Median path length (switches) over established circuits.
+    pub path_len_p50: f64,
+    /// 99th-percentile path length (switches).
+    pub path_len_p99: f64,
+    /// Per-stage 99th-percentile occupancy: busy-vertex count of each
     /// stage sampled at call arrival instants (PASTA: Poisson arrivals
     /// see time averages).
-    pub stage_occupancy_hist: Vec<Hist>,
+    pub stage_occupancy_p99: Vec<f64>,
     /// Total switch count over established paths.
     pub total_path_len: u64,
     /// Longest established path (switches).

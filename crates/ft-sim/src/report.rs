@@ -396,28 +396,28 @@ impl Report {
                 &mut out,
                 "      ",
                 "setup_cost_p50",
-                &m.setup_cost_hist.quantile(50.0).to_string(),
+                &m.setup_cost_p50.to_string(),
                 false,
             );
             push_kv(
                 &mut out,
                 "      ",
                 "setup_cost_p99",
-                &m.setup_cost_hist.quantile(99.0).to_string(),
+                &m.setup_cost_p99.to_string(),
                 false,
             );
             push_kv(
                 &mut out,
                 "      ",
                 "path_len_p50",
-                &m.path_len_hist.quantile(50.0).to_string(),
+                &m.path_len_p50.to_string(),
                 false,
             );
             push_kv(
                 &mut out,
                 "      ",
                 "path_len_p99",
-                &m.path_len_hist.quantile(99.0).to_string(),
+                &m.path_len_p99.to_string(),
                 false,
             );
             let utilisation: Vec<String> = (0..m.stage_busy_time.len())
@@ -430,11 +430,8 @@ impl Report {
                 &format!("[{}]", utilisation.join(", ")),
                 false,
             );
-            let occupancy_p99: Vec<String> = m
-                .stage_occupancy_hist
-                .iter()
-                .map(|h| h.quantile(99.0).to_string())
-                .collect();
+            let occupancy_p99: Vec<String> =
+                m.stage_occupancy_p99.iter().map(f64::to_string).collect();
             push_kv(
                 &mut out,
                 "      ",
